@@ -63,8 +63,6 @@ def _measure_reads(tmp_path, label: str, *, replicas: int, duration: float):
     """Aggregate reads/sec of READERS threads racing a continuous writer."""
     pool = DatabasePool(
         tmp_path / label,
-        flush_size=WRITER_BATCH,
-        flush_interval=None,
         flush_mode="sync",
         replicas=replicas,
         replica_staleness=0.1,
@@ -88,10 +86,10 @@ def _measure_reads(tmp_path, label: str, *, replicas: int, duration: float):
                     ctx_id=0,
                     value_name="metric",
                     value=base + j,
-                )
+                ).as_row()
                 for j in range(WRITER_BATCH)
             ]
-            shard.queue.append(logs=rows)
+            shard.append(rows)
             base += WRITER_BATCH
 
     counts = [0] * READERS
@@ -234,8 +232,6 @@ def _drive_ingest(tmp_path, label: str, *, batch: int, requests: int) -> Service
     service = FlorService(
         tmp_path / label,
         pool_capacity=INGEST_PROJECTS,
-        flush_size=batch,
-        flush_interval=None,
         flush_mode="sync",
         replicas=2,  # the new read plumbing must not tax the write path
     )

@@ -85,7 +85,7 @@ class _TenantDriver(threading.Thread):
 
 def _run_mix(tmp_path, name: str, *, qos: bool):
     service = FlorService(
-        tmp_path / name, flush_size=32, flush_interval=None, qos=qos
+        tmp_path / name, qos=qos
     )
     try:
         if qos:
@@ -161,7 +161,7 @@ def test_qos_off_has_no_throughput_tax(benchmark, tmp_path):
 
     def drive(name: str, *, qos: bool) -> ServiceLoadReport:
         service = FlorService(
-            tmp_path / name, flush_size=16, flush_interval=None, qos=qos
+            tmp_path / name, qos=qos
         )
         try:
             workload = ServiceWorkload(

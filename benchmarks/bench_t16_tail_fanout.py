@@ -173,7 +173,7 @@ class _TailConsumer(threading.Thread):
 def _drive_storm(
     tmp_path, label: str, *, subscribers: int, clients: int, requests_per_client: int, batch: int
 ) -> tuple[ServiceLoadReport, list[_TailConsumer], dict]:
-    service = FlorService(tmp_path / label, pool_capacity=PROJECTS, flush_size=batch)
+    service = FlorService(tmp_path / label, pool_capacity=PROJECTS)
     try:
         client = TestClient(service.app())
         workload = ServiceWorkload(
@@ -289,7 +289,7 @@ def test_sealed_rows_survive_a_forced_reconnect_exactly_once(benchmark, tmp_path
 
     def _run(label: str):
         ledger = AckLedger()
-        service = FlorService(tmp_path / label, flush_size=8)
+        service = FlorService(tmp_path / label)
         try:
             client = TestClient(service.app())
             stop = threading.Event()

@@ -1,12 +1,12 @@
 """T8 — Service throughput: batched vs. unbatched ingestion under load.
 
 The service layer (``repro.service``) fronts FlorDB for many concurrent
-clients and amortizes SQLite's per-transaction commit cost by coalescing
-appended records into one transaction per flush.  This benchmark drives
-the bulk-append endpoint with :class:`~repro.workloads.ServiceWorkload`
-(8 client threads by default) at several batch sizes — ``batch`` controls
-both the records per request and the ingestion queue's ``flush_size`` —
-and reports requests/sec, records/sec and p50/p99 append latency.
+clients and amortizes SQLite's per-transaction commit cost across the
+records of one bulk append.  This benchmark drives the bulk-append
+endpoint with :class:`~repro.workloads.ServiceWorkload` (8 client threads
+by default) at several batch sizes — ``batch`` is the records per request,
+and each request hands its rows to the shard's writer as one batch — and
+reports requests/sec, records/sec and p50/p99 append latency.
 
 Expected shape: records/sec grows steeply with batch size (each batched
 transaction pays the commit cost once for ``batch`` records), while
@@ -35,17 +35,11 @@ PROJECTS = 4
 
 
 def _drive(tmp_path, name: str, *, batch: int, clients: int) -> ServiceLoadReport:
-    # Pinned to the sync flusher: this benchmark isolates the *queue-level*
-    # batching ablation (transactions per flush_size), which the background
-    # flusher's own transaction coalescing would otherwise mask — the T10
-    # benchmark measures that second effect on its own.
-    service = FlorService(
-        tmp_path / name,
-        pool_capacity=PROJECTS,
-        flush_size=batch,
-        flush_interval=None,
-        flush_mode="sync",
-    )
+    # Pinned to the sync flusher: this benchmark isolates the request-level
+    # batching ablation (one transaction per append of ``batch`` rows),
+    # which the background flusher's own transaction coalescing would
+    # otherwise mask — the T10 benchmark measures that second effect.
+    service = FlorService(tmp_path / name, pool_capacity=PROJECTS, flush_mode="sync")
     try:
         workload = ServiceWorkload(
             clients=clients,

@@ -121,7 +121,7 @@ def test_service_ingest_read_cycle_invalidates_cache(benchmark, tmp_path):
     from repro.service import FlorService
     from repro.webapp.framework import TestClient
 
-    service = FlorService(tmp_path / "t9_service", flush_size=32, flush_interval=None)
+    service = FlorService(tmp_path / "t9_service")
     client = TestClient(service.app())
 
     def ingest(run: int, count: int = 8) -> None:
@@ -155,7 +155,7 @@ def test_service_ingest_read_cycle_invalidates_cache(benchmark, tmp_path):
         assert stats["cold_builds"] == 1
         assert stats["fast_hits"] + stats["warm_hits"] >= 1
 
-        ingest(1)  # a new run arrives through the ingestion queue
+        ingest(1)  # a new run arrives through the append route
         second = read()
         assert second["rows"] == 2
 

@@ -35,8 +35,8 @@ Subpackages
                       barrier before restore/commit/close
 ``repro.service``     multi-tenant HTTP service layer: sharded database
                       pool (one SQLite file per project, LRU handle cache),
-                      batched ingestion (one batch per flush, riding the
-                      shard's background flusher), and
+                      appends handed straight to the shard's background
+                      flusher (one coalesced transaction per wakeup), and
                       append/commit/dataframe/SQL endpoints behind the
                       ``serve`` CLI subcommand
 ``repro.jobs``        durable background job orchestration: a SQLite-backed

@@ -25,7 +25,8 @@ the Python API and the HTTP service use.
                older than ``--keep-epochs`` commits into append-only
                archive files (see :mod:`repro.storage.tiering`)
 ``serve``      multi-tenant HTTP service over the projects under a root
-               directory (sharded pool + batched ingestion; see
+               directory (sharded pool, appends coalesced by each shard's
+               background flusher; see
                :mod:`repro.service`); ``--job-workers N`` embeds N durable
                job workers, and SIGTERM/SIGINT drain them gracefully;
                ``--workers N`` runs a multi-process worker fleet instead —
@@ -299,10 +300,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     worker_args = [
         "--pool-capacity",
         str(args.pool_capacity),
-        "--flush-size",
-        str(args.flush_size),
-        "--flush-interval",
-        str(args.flush_interval),
         "--backend",
         args.backend,
     ]
@@ -371,8 +368,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = FlorService(
         Path(args.project).resolve(),
         pool_capacity=args.pool_capacity,
-        flush_size=args.flush_size,
-        flush_interval=None if args.flush_interval <= 0 else args.flush_interval,
         flush_mode="sync" if args.sync_flush else None,
         backend=args.backend,
         replicas=args.replicas,
@@ -840,8 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--host", default="127.0.0.1")
     sub.add_argument("--port", type=int, default=8230, help="TCP port (0 picks a free one)")
     sub.add_argument("--pool-capacity", type=int, default=8, help="max simultaneously open project shards")
-    sub.add_argument("--flush-size", type=int, default=64, help="records coalesced per ingestion transaction")
-    sub.add_argument("--flush-interval", type=float, default=0.5, help="seconds between interval-triggered flushes (<=0 disables)")
     sub.add_argument("--quiet", action="store_true", help="suppress per-request access logging")
     sub.add_argument(
         "--job-workers",

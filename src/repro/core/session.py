@@ -150,7 +150,7 @@ class Session:
         self.logs = LogRepository(self.db)
         self.loops = LoopRepository(self.db)
         self.ts2vid = Ts2VidRepository(self.db)
-        self.objects = ObjectRepository(self.db)
+        self._objects = ObjectRepository(self.db)
         self.build_deps = BuildDepRepository(self.db)
         # Explicit None-check: an empty Repository is falsy (len() == 0), and
         # an injected fresh repository must not be silently replaced by a
@@ -167,9 +167,9 @@ class Session:
         # Past this many staged records an async session submits to the
         # flusher opportunistically, overlapping SQLite work with the loop.
         self._stage_threshold = 512
-        ckpt_writer = AsyncCheckpointWriter(self.objects) if self.flush_mode == ASYNC else None
+        ckpt_writer = AsyncCheckpointWriter(self._objects) if self.flush_mode == ASYNC else None
         self.checkpoints = CheckpointManager(
-            self.objects, policy=checkpoint_policy, writer=ckpt_writer
+            self._objects, policy=checkpoint_policy, writer=ckpt_writer
         )
         self.default_filename = default_filename
         self._cli_args = dict(cli_args or {})
@@ -224,6 +224,17 @@ class Session:
 
     def __exit__(self, *_exc: Any) -> None:
         self.close()
+
+    @property
+    def objects(self) -> ObjectRepository:
+        """The ``obj_store`` repository, behind the checkpoint writer's barrier.
+
+        Checkpoints still riding the async writer are stored before this
+        returns, so object reads see every checkpoint this session saved —
+        the contract :meth:`dataframe` has with the log flusher.
+        """
+        self.checkpoints.drain()
+        return self._objects
 
     @property
     def pending_records(self) -> int:

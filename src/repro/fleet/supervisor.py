@@ -308,10 +308,10 @@ class FleetSupervisor:
         self._spawn_locked(handle)
 
     # ------------------------------------------------------------ scale-down
-    def _drain_worker(self, url: str) -> int:
-        """Ask one worker to flush + seal every open shard; rows flushed."""
+    def _drain_worker(self, url: str) -> None:
+        """Ask one worker to flush + seal every open shard."""
         with HttpClient(url, timeout=30.0) as client:
-            return int(client.post_json("/fleet/drain").get("flushed", 0))
+            client.post_json("/fleet/drain")
 
     def stop_worker(self, worker_id: str, *, drain: bool = True, timeout: float = 20.0) -> int | None:
         """Drain hand-off: seal shards, leave the ring, drain again, SIGTERM.
@@ -376,7 +376,7 @@ def default_worker_argv(
 ) -> Callable[[str, str], list[str]]:
     """Build the ``argv_for`` hook spawning real ``repro serve`` workers.
 
-    ``extra`` carries the per-worker service knobs (``--flush-size``,
+    ``extra`` carries the per-worker service knobs (``--pool-capacity``,
     ``--job-workers``, ...) exactly as the operator passed them to the
     supervisor's own command line.
     """

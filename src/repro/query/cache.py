@@ -13,8 +13,8 @@ Freshness is detected in two tiers:
 
 * **generation counters** — writers in this process
   (:meth:`~repro.core.session.Session.flush`, the service's
-  :class:`~repro.service.ingest.IngestionQueue`) bump a per-project
-  counter, and the database handle's
+  :meth:`~repro.service.pool.ProjectShard.append`) bump a per-project
+  counter after their transaction commits, and the database handle's
   :attr:`~repro.relational.database.Database.write_version` catches any
   other writer sharing the connection (replay backfills, raw repository
   writes).  A read whose entry matches both returns the cached frame

@@ -14,7 +14,7 @@
   and reuse the same views as ``dataframe``.
 
 Writers call :meth:`note_write` (wired into ``Session.flush`` and the
-service ingestion queue), which bumps the cache's per-project generation
+service's ``ProjectShard.append``), which bumps the cache's per-project generation
 counter — the signal that turns the next read's fast hit into a watermark
 probe.
 """

@@ -17,12 +17,11 @@ watermark helpers at the bottom let the materialized pivot-view cache of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..dataframe import DataFrame, from_records
 from ..storage.protocols import RelationalStore
 from .records import LoopRecord, decode_value
-from .repositories import Ts2VidRepository
 
 #: Reserved dimension columns that always appear in the pivoted view.
 BASE_DIMENSIONS = ("projid", "tstamp", "filename")
@@ -288,8 +287,3 @@ def latest(frame: DataFrame, column: str = "tstamp") -> DataFrame:
     if maximum is None:
         return frame
     return frame[frame[column] == maximum]
-
-
-def distinct_versions(db: RelationalStore, projid: str) -> list[str]:
-    """All version ids recorded for a project, oldest first."""
-    return [record.vid for record in Ts2VidRepository(db).all(projid)]

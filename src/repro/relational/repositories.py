@@ -84,24 +84,9 @@ class LogRepository:
         )
         return self._rows_to_records(rows)
 
-    def by_tstamp(self, projid: str, tstamp: str) -> list[LogRecord]:
-        rows = self._db.query(
-            "SELECT projid, tstamp, filename, ctx_id, value_name, value, value_type"
-            " FROM logs WHERE projid = ? AND tstamp = ? ORDER BY seq",
-            (projid, tstamp),
-        )
-        return self._rows_to_records(rows)
-
     def distinct_names(self, projid: str) -> list[str]:
         rows = self._db.query(
             "SELECT DISTINCT value_name FROM logs WHERE projid = ? ORDER BY value_name",
-            (projid,),
-        )
-        return [row[0] for row in rows]
-
-    def distinct_tstamps(self, projid: str) -> list[str]:
-        rows = self._db.query(
-            "SELECT DISTINCT tstamp FROM logs WHERE projid = ? ORDER BY tstamp",
             (projid,),
         )
         return [row[0] for row in rows]
@@ -201,15 +186,6 @@ class Ts2VidRepository:
             )
         return [Ts2VidRecord(*row) for row in rows]
 
-    def vid_for_tstamp(self, projid: str, tstamp: str) -> str | None:
-        """Return the version id whose epoch covers ``tstamp``."""
-        row = self._db.query_one(
-            "SELECT vid FROM ts2vid WHERE projid = ? AND ts_start <= ? AND ts_end >= ?"
-            " ORDER BY ts_start DESC LIMIT 1",
-            (projid, tstamp, tstamp),
-        )
-        return row[0] if row else None
-
     def latest(self, projid: str) -> Ts2VidRecord | None:
         row = self._db.query_one(
             "SELECT projid, ts_start, ts_end, vid, root_target FROM ts2vid"
@@ -308,12 +284,6 @@ class BuildDepRepository:
             (vid, target),
         )
         return BuildDepRecord.from_row(row) if row else None
-
-    def mark_cached(self, vid: str, target: str, cached: bool = True) -> None:
-        self._db.execute(
-            "UPDATE build_deps SET cached = ? WHERE vid = ? AND target = ?",
-            (int(cached), vid, target),
-        )
 
     def count(self) -> int:
         return self._db.count("build_deps")

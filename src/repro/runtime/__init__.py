@@ -22,7 +22,8 @@ everywhere.  This package is where that promise is enforced mechanically:
 
 Layering: this package depends only on :mod:`repro.relational` and
 :mod:`repro.errors`; :mod:`repro.core.session` and
-:mod:`repro.service.ingest` build on top of it.
+:mod:`repro.service.pool` (whose shards append straight to the session's
+flusher) build on top of it.
 """
 
 from .buffer import RecordBuffer

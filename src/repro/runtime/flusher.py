@@ -51,8 +51,9 @@ ASYNC = "async"
 class FlushCallbackError(ReproError):
     """An ``on_written`` callback raised *after* its transaction committed.
 
-    Distinct from a write failure so callers (the ingestion queue) know the
-    rows are durable — retrying the write would duplicate them.
+    Distinct from a write failure so callers (``Session.flush``, the
+    service's append route) know the rows are durable — retrying the write
+    would duplicate them.
     """
 
 #: One queued submission: (log_rows, loop_rows, on_written, row_count).

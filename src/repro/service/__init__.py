@@ -7,10 +7,9 @@ package is the server side of that story, built on the in-process
 
 * :mod:`repro.service.pool` — a sharded database pool: one SQLite
   :class:`~repro.relational.database.Database` per project, an LRU-capped
-  handle cache and a per-shard re-entrant lock,
-* :mod:`repro.service.ingest` — a batched ingestion queue that coalesces
-  appended records into one transaction per flush (size- or
-  interval-triggered), amortizing commit overhead across records,
+  handle cache and a per-shard re-entrant lock.  Appends go straight to
+  the shard session's :class:`~repro.runtime.BackgroundFlusher`, which
+  coalesces every batch queued since its last write into one transaction,
 * :mod:`repro.service.app` — the HTTP surface: bulk append, commit,
   dataframe and read-only SQL endpoints per project, plus the durable job
   endpoints (``POST /projects/<name>/jobs/backfill``, ``GET /jobs/<id>``,
@@ -26,7 +25,7 @@ Quick tour::
     from repro.service import FlorService
     from repro.webapp.framework import TestClient
 
-    service = FlorService("/srv/flor", flush_size=64)
+    service = FlorService("/srv/flor")
     client = TestClient(service.app())
     client.post("/projects/alpha/logs",
                 json_body={"records": [{"name": "loss", "value": 0.5}]})
@@ -35,7 +34,6 @@ Quick tour::
 """
 
 from .app import SERVICE_FILENAME, FlorService, create_app
-from .ingest import IngestionQueue, IngestStats
 from .pool import DatabasePool, PoolStats, ProjectShard
 
 __all__ = [
@@ -45,6 +43,4 @@ __all__ = [
     "DatabasePool",
     "PoolStats",
     "ProjectShard",
-    "IngestionQueue",
-    "IngestStats",
 ]

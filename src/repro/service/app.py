@@ -3,19 +3,20 @@
 Routes (all JSON; ``<name>`` is a tenant/project name):
 
 * ``POST /projects/<name>/logs`` — bulk-append log and loop records.  The
-  body is ``{"records": [...], "loops": [...], "filename": ...}``; records
-  are acknowledged with ``202`` once enqueued — ``"flushed": true`` in the
-  response means the batch was *handed to the shard's writer* (inline with
-  ``flush_mode="sync"``, to the background flusher otherwise), not that it
-  is already durable.  Durability comes from the next commit or read, both
-  of which drain the writer first.
-* ``POST /projects/<name>/commit`` — flush the shard's queue and run
+  body is ``{"records": [...], "loops": [...], "filename": ...}``.  A
+  ``202`` means the batch was *handed to the shard's writer*: written
+  inline with ``flush_mode="sync"`` (a failed write fails the request with
+  nothing stored), queued on the background flusher otherwise, which
+  commits it on arrival without waiting for another request.  ``pending``
+  in the response counts the shard's rows not yet durable; commits and
+  primary reads drain the writer first.
+* ``POST /projects/<name>/commit`` — drain the shard's writer and run
   ``flor.commit`` (snapshot tracked files, record the ``ts2vid`` epoch).
 * ``GET /projects/<name>/dataframe?names=a,b[&latest=1]`` — the pivoted
   view of the named log values, as ``{"columns": ..., "records": ...}``.
 * ``GET /projects/<name>/sql?q=SELECT...[&names=a,b]`` — read-only SQL via
   :func:`repro.relational.sql.run_sql`; anything but SELECT/WITH is a 400.
-* ``GET /projects/<name>/stats`` — per-shard row counts and queue stats.
+* ``GET /projects/<name>/stats`` — per-shard row counts and writer stats.
 * ``GET /projects/<name>/tail`` — the live observability plane's tenant
   stream: committed log rows as server-sent events, resumable via
   ``Last-Event-ID``/``?since_seq=`` (see :mod:`repro.service.streams` and
@@ -64,13 +65,14 @@ the :class:`~repro.jobs.JobRunner` workers embedded by ``repro serve
 --job-workers N`` (or any external runner sharing the root).
 
 Reads flush before querying, so a client always reads its own writes even
-when its records are still queued.  Handlers run under the shard's lock
-(see :mod:`repro.service.pool`), which makes the service safe to drive
-from many threads — the shape the T8 benchmark measures.  Dataframe and
-SQL reads are served by the shard's :class:`~repro.query.QueryEngine`:
-the pivoted view stays materialized across requests, ingestion flushes
-invalidate it via generation counters, and only the appended delta is
-merged on the next read (benchmark T9 measures the effect).
+when its records are still riding the flusher.  Handlers run under the
+shard's lock (see :mod:`repro.service.pool`), which makes the service safe
+to drive from many threads — the shape the T8 benchmark measures.
+Dataframe and SQL reads are served by the shard's
+:class:`~repro.query.QueryEngine`: the pivoted view stays materialized
+across requests, each committed append invalidates it via generation
+counters, and only the appended delta is merged on the next read
+(benchmark T9 measures the effect).
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ from ..errors import (
 from ..jobs import JOB_KINDS, JOBS_DB_FILENAME, KIND_BACKFILL, JobStore
 from ..obs import MetricsRegistry, TailBroker
 from ..qos import AdmissionController, PolicyStore, rule_from_payload
-from ..relational.records import JOB_STATES, LogRecord, LoopRecord
+from ..relational.records import JOB_STATES, encode_value
 from ..relational.schema import TABLES
 from ..webapp.framework import HttpError, JsonResponse, Request, WebApp
 from .pool import SERVICE_FILENAME, DatabasePool, ProjectShard
@@ -118,10 +120,6 @@ class FlorService:
         Directory holding one project subdirectory per tenant.
     pool_capacity:
         Maximum simultaneously open shards (LRU beyond that).
-    flush_size / flush_interval:
-        Batched-ingestion knobs, passed to each shard's
-        :class:`~repro.service.ingest.IngestionQueue`.  ``flush_size=1``
-        disables batching (every append is its own transaction).
     flush_mode:
         ``"async"`` (default) or ``"sync"`` record path per shard; see
         :class:`~repro.service.pool.DatabasePool`.
@@ -131,7 +129,7 @@ class FlorService:
     replicas:
         When > 0, ``dataframe``/``sql`` reads are routed round-robin to
         that many snapshot read replicas per shard.  Replica reads do not
-        flush the ingestion queue — they trade read-your-writes for
+        drain the shard's writer — they trade read-your-writes for
         bounded staleness, and every response carries the serving
         replica's ``logs.seq`` ``watermark`` so clients can reason about
         freshness.  A client that needs read-your-writes passes
@@ -150,8 +148,6 @@ class FlorService:
         root: Path | str,
         *,
         pool_capacity: int = 8,
-        flush_size: int = 64,
-        flush_interval: float | None = 0.5,
         flush_mode: str | None = None,
         backend: str = "sqlite",
         replicas: int = 0,
@@ -165,8 +161,6 @@ class FlorService:
         tail_max_lag: int = 100_000,
     ):
         self.root = Path(root)
-        self.flush_size = flush_size
-        self.flush_interval = flush_interval
         self.flush_mode = flush_mode
         self.replicas = replicas
         #: The observability plane: one metrics registry and one tail
@@ -181,8 +175,6 @@ class FlorService:
         self.pool = DatabasePool(
             self.root,
             capacity=pool_capacity,
-            flush_size=flush_size,
-            flush_interval=flush_interval,
             flush_mode=flush_mode,
             backend=backend,
             replicas=replicas,
@@ -468,52 +460,46 @@ def _keepalive_arg(request: Request) -> float:
     )
 
 
-def _build_log_records(
+def _build_rows(
     shard: ProjectShard, payload: dict[str, Any]
-) -> list[LogRecord]:
+) -> tuple[list[tuple], list[tuple]]:
+    """Insert-ready ``logs`` and ``loops`` rows straight from the JSON body."""
+    projid = shard.session.projid
+    default_tstamp = shard.session.tstamp
     default_filename = str(payload.get("filename") or SERVICE_FILENAME)
-    records = []
+    log_rows = []
     for item in _record_list(payload, "records"):
         if "name" not in item:
             raise HttpError(400, "every log record needs a 'name'")
-        records.append(
-            LogRecord.create(
-                projid=shard.session.projid,
-                tstamp=str(item.get("tstamp") or shard.session.tstamp),
-                filename=str(item.get("filename") or default_filename),
-                ctx_id=_int_field(item, "ctx_id"),
-                value_name=str(item["name"]),
-                value=item.get("value"),
+        log_rows.append(
+            (
+                projid,
+                str(item.get("tstamp") or default_tstamp),
+                str(item.get("filename") or default_filename),
+                _int_field(item, "ctx_id"),
+                str(item["name"]),
+                *encode_value(item.get("value")),
             )
         )
-    return records
-
-
-def _build_loop_records(
-    shard: ProjectShard, payload: dict[str, Any]
-) -> list[LoopRecord]:
-    default_filename = str(payload.get("filename") or SERVICE_FILENAME)
-    loops = []
+    loop_rows = []
     for item in _record_list(payload, "loops"):
         if "loop_name" not in item:
             raise HttpError(400, "every loop record needs a 'loop_name'")
-        loops.append(
-            LoopRecord(
-                projid=shard.session.projid,
-                tstamp=str(item.get("tstamp") or shard.session.tstamp),
-                filename=str(item.get("filename") or default_filename),
-                ctx_id=_int_field(item, "ctx_id"),
-                parent_ctx_id=(
-                    None
-                    if item.get("parent_ctx_id") is None
-                    else _int_field(item, "parent_ctx_id")
-                ),
-                loop_name=str(item["loop_name"]),
-                loop_iteration=_int_field(item, "loop_iteration"),
-                iteration_value=str(item.get("iteration_value", "")),
+        loop_rows.append(
+            (
+                projid,
+                str(item.get("tstamp") or default_tstamp),
+                str(item.get("filename") or default_filename),
+                _int_field(item, "ctx_id"),
+                None
+                if item.get("parent_ctx_id") is None
+                else _int_field(item, "parent_ctx_id"),
+                str(item["loop_name"]),
+                _int_field(item, "loop_iteration"),
+                str(item.get("iteration_value", "")),
             )
         )
-    return loops
+    return log_rows, loop_rows
 
 
 def create_app(service: FlorService) -> WebApp:
@@ -561,10 +547,9 @@ def create_app(service: FlorService) -> WebApp:
         SQLite files fresh.  Also safe (and a no-op) on an idle worker.
         """
         names = pool.open_shards()
-        flushed = pool.flush_all()
         for name in names:
             pool.evict(name)
-        return JsonResponse({"flushed": flushed, "sealed_shards": names})
+        return JsonResponse({"sealed_shards": names})
 
     @app.route("/projects/<name>/logs", methods=("POST",))
     def append_logs(request: Request, name: str):
@@ -572,17 +557,12 @@ def create_app(service: FlorService) -> WebApp:
         enforce_admission(service.admission, name, len(request.body))
         payload = _json_body(request)
         with pool.checkout(name) as shard:
-            logs = _build_log_records(shard, payload)
-            loops = _build_loop_records(shard, payload)
-            if not logs and not loops:
+            log_rows, loop_rows = _build_rows(shard, payload)
+            if not log_rows and not loop_rows:
                 raise HttpError(400, "no records to append ('records' and 'loops' both empty)")
-            flushed = shard.queue.append(logs=logs, loops=loops)
+            queued = shard.append(log_rows, loop_rows)
             return JsonResponse(
-                {
-                    "queued": len(logs) + len(loops),
-                    "flushed": flushed,
-                    "pending": shard.queue.pending,
-                },
+                {"queued": queued, "pending": shard.session.flusher.pending_rows},
                 status=202,
             )
 
@@ -635,7 +615,7 @@ def create_app(service: FlorService) -> WebApp:
         name = _existing(name)
         enforce_admission(service.admission, name)
         if not force_primary:
-            # Bounded-staleness read: no queue flush, served from a snapshot
+            # Bounded-staleness read: no writer drain, served from a snapshot
             # replica; the watermark tells the client the highest logs.seq
             # the replica had when it answered.
             outcome = _replica_read(

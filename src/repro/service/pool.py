@@ -8,8 +8,8 @@ dropped independently (the "one metadata home per project" layout of
 
 Open handles are cached in an :class:`~collections.OrderedDict` used as an
 LRU: :meth:`DatabasePool.get` moves the shard to the hot end, and opening a
-shard beyond ``capacity`` closes the coldest one.  Closing flushes the
-shard's ingestion queue first, so eviction never loses acknowledged
+shard beyond ``capacity`` closes the coldest one.  Closing drains the
+shard session's flusher first, so eviction never loses acknowledged
 records — a re-opened shard sees everything that was appended before
 eviction (exercised by the pool tests).
 
@@ -30,12 +30,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from ..config import ProjectConfig
 from ..core.session import Session
 from ..query.engine import QueryEngine
-from .ingest import IngestionQueue
 
 #: Filename stamped on records that arrive without one; mirrors how the
 #: feedback webapp stamps ``app.py`` on human-in-the-loop records.
@@ -71,7 +70,7 @@ class ShardReplicas:
     its ``write_version``, so without this hook the per-replica materialized
     views would serve stale fast hits forever.
 
-    Reads here deliberately do NOT flush the shard's ingestion queue: the
+    Reads here deliberately do NOT drain the shard's flusher: the
     whole point of replica routing is bounded staleness instead of
     read-your-writes, and every response carries the replica's ``logs.seq``
     watermark so clients can see exactly how fresh their read was.
@@ -123,29 +122,50 @@ _incarnations = count(1)
 
 
 class ProjectShard:
-    """One open tenant: a session, its ingestion queue and a lock."""
+    """One open tenant: a session, its lock and the post-commit ingest hook.
+
+    ``on_ingest(name, rows)`` runs after each appended batch commits (the
+    pool points it at the service's tail broker).
+    """
 
     def __init__(
         self,
         name: str,
         session: Session,
-        queue: IngestionQueue | None = None,
         replicas: ShardReplicas | None = None,
+        on_ingest: Callable[[str, int], None] | None = None,
     ):
         self.name = name
         self.session = session
-        self.queue = queue
         self.replicas = replicas
+        self.on_ingest = on_ingest
+        # Resolved here, once, so the post-commit hook (which runs on the
+        # flusher's thread) never races the engine's lazy construction.
+        self._engine = session.query
         self.incarnation = next(_incarnations)
         self.lock = threading.RLock()
         self.closed = False
 
-    def flush(self) -> int:
-        """Drain the ingestion queue (if any) and the session's buffers."""
+    def append(self, log_rows: Sequence[tuple], loop_rows: Sequence[tuple] = ()) -> int:
+        """Hand insert-ready rows to the session's flusher; returns the count.
+
+        The flusher is the only staging buffer: async mode queues the batch
+        (coalesced with its neighbours into one transaction) and returns;
+        sync mode writes it inline, raising this batch's own failure with
+        nothing stored.  After the commit the shard's pivot views are marked
+        stale and ``on_ingest`` fires, so a woken reader sees the rows.
+        """
+        return self.session.flusher.submit(log_rows, loop_rows, on_written=self._on_written)
+
+    def _on_written(self, count: int) -> None:
+        self._engine.note_write()
+        if self.on_ingest is not None:
+            self.on_ingest(self.name, count)
+
+    def flush(self) -> None:
+        """Read-your-writes barrier: every appended row is durable on return."""
         with self.lock:
-            flushed = self.queue.flush() if self.queue is not None else 0
             self.session.flush()
-            return flushed
 
     def close(self) -> None:
         """Flush pending records, then release the database handle."""
@@ -168,15 +188,12 @@ class DatabasePool:
         Directory holding one project subdirectory per tenant.
     capacity:
         Maximum number of simultaneously open shards (SQLite handles).
-    flush_size / flush_interval:
-        Batching knobs for each shard's
-        :class:`~repro.service.ingest.IngestionQueue`.
     flush_mode:
         ``"async"`` (default) or ``"sync"``, forwarded to each shard's
-        :class:`~repro.core.session.Session`.  The shard's ingestion queue
-        reuses the session's flusher, so with the default one background
-        writer per shard serves both the batched ingest path and the
-        session's own record path.
+        :class:`~repro.core.session.Session`.  Appends go straight to the
+        session's flusher, so with the default one background writer per
+        shard serves both the service's append path and the session's own
+        record path.
     backend:
         ``"sqlite"`` (default) stores each shard at
         ``<root>/<name>/.flor/flor.db``; ``"memory"`` builds shards on
@@ -199,7 +216,7 @@ class DatabasePool:
         flusher so flush latency aggregates across tenants.
     on_ingest:
         Optional ``(tenant, rows) -> None`` hook, invoked after a shard's
-        ingestion batch *commits* (piggybacking on the flusher's
+        appended batch *commits* (piggybacking on the flusher's
         ``on_written`` ordering).  The service layer points this at its
         :class:`~repro.obs.TailBroker` so tail subscribers wake only for
         rows a backfill query can already see.
@@ -212,8 +229,6 @@ class DatabasePool:
         root: Path | str,
         *,
         capacity: int = 8,
-        flush_size: int = 64,
-        flush_interval: float | None = 0.5,
         flush_mode: str | None = None,
         backend: str = "sqlite",
         replicas: int = 0,
@@ -230,8 +245,6 @@ class DatabasePool:
             raise ValueError(f"replicas must be >= 0, got {replicas}")
         self.root = Path(root)
         self.capacity = capacity
-        self.flush_size = flush_size
-        self.flush_interval = flush_interval
         self.flush_mode = flush_mode
         self.backend = backend
         self.replicas = replicas
@@ -290,36 +303,15 @@ class DatabasePool:
             session = Session(
                 config, default_filename=SERVICE_FILENAME, flush_mode=self.flush_mode
             )
-        # The session's query engine carries the shard's materialized pivot
-        # views (one cache per shard, warm across requests).  The ingestion
-        # queue writes straight to the database, so each of its flushed
-        # batches must bump the cache generation the same way Session.flush
-        # does — after the batch's transaction commits, which the flusher's
-        # on_written hook guarantees.  The engine is resolved here, once,
-        # so the callback never races its lazy construction.
-        engine = session.query
         if self.metrics is not None:
             session.flusher.metrics = self.metrics
-            engine.cache.metrics = self.metrics
-
-        def _on_flush(count: int, _name: str = name, _engine=engine) -> None:
-            _engine.note_write()
-            if self.on_ingest is not None:
-                self.on_ingest(_name, count)
-
-        queue = IngestionQueue(
-            session.db,
-            flush_size=self.flush_size,
-            flush_interval=self.flush_interval,
-            on_flush=_on_flush,
-            flusher=session.flusher,
-        )
+            session.query.cache.metrics = self.metrics
         shard_replicas = None
         if self.replicas > 0:
             shard_replicas = ShardReplicas(
                 session, count=self.replicas, max_staleness=self.replica_staleness
             )
-        return ProjectShard(name, session, queue, replicas=shard_replicas)
+        return ProjectShard(name, session, replicas=shard_replicas, on_ingest=self.on_ingest)
 
     # ----------------------------------------------------------------- lookup
     def get(self, name: str) -> ProjectShard:
@@ -377,9 +369,9 @@ class DatabasePool:
     def _close_evicted(self, shard: ProjectShard) -> None:
         """Close a shard evicted from the cache without losing records.
 
-        If the close fails (the flush raised), the shard still holds its
-        queued records, so it is reinstated into the cache rather than
-        orphaned — acknowledged appends stay reachable and the flush is
+        If the close fails (the flush raised), the shard's session is still
+        open, so it is reinstated into the cache rather than orphaned —
+        acknowledged appends stay reachable and the flush is
         retried on the next eviction or :meth:`close`.  The ``_closing``
         reservation taken when the shard was popped guarantees the name was
         not concurrently rebuilt, so reinstating always succeeds.  On a
@@ -488,12 +480,6 @@ class DatabasePool:
         if event is not None:
             event.set()
         return True
-
-    def flush_all(self) -> int:
-        """Flush every open shard; returns total records written."""
-        with self._lock:
-            shards = list(self._shards.values())
-        return sum(shard.flush() for shard in shards)
 
     def close(self) -> None:
         """Flush and close every open shard."""

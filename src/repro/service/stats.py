@@ -44,15 +44,15 @@ def shard_stats_payload(service, shard: ProjectShard) -> dict[str, Any]:
     unchanged across a primary read knows no acked row was dropped in
     between (the chaos harness's seal protocol; see docs/testing.md).
     The ``incarnation`` identifies the live shard handle, whose own
-    flusher counters reset on reopen.
+    flusher counters reset on reopen.  ``pending`` counts appended rows
+    the flusher has not made durable yet.
     """
     pool = service.pool
     return {
         "project": shard.session.projid,
         "incarnation": shard.incarnation,
         "dropped_rows_total": pool.dropped_rows_total(shard.name),
-        "pending": shard.queue.pending if shard.queue else 0,
-        "ingest": shard.queue.stats.as_dict() if shard.queue else {},
+        "pending": shard.session.flusher.pending_rows,
         "flusher": flusher_stats(shard.session),
         "qos": qos_stats(service, shard.session.projid),
         "query_cache": shard.session.query.stats.as_dict(),
@@ -67,8 +67,6 @@ def service_stats_payload(service) -> dict[str, Any]:
         "open_shards": pool.open_shards(),
         "capacity": pool.capacity,
         "pool": pool.stats.as_dict(),
-        "flush_size": service.flush_size,
-        "flush_interval": service.flush_interval,
         "replicas": service.replicas,
         "jobs": service.job_counts(),
     }

@@ -61,8 +61,6 @@ def chaos_shard_factory(
     root: Path | str,
     plan: FaultPlan,
     *,
-    flush_size: int = 32,
-    flush_interval: float | None = 0.05,
     flush_mode: str | None = None,
 ):
     """A ``DatabasePool.shard_factory`` building fault-wrapped shards.
@@ -76,7 +74,6 @@ def chaos_shard_factory(
     """
     from ..config import ProjectConfig
     from ..core.session import Session
-    from ..service.ingest import IngestionQueue
     from ..service.pool import SERVICE_FILENAME, ProjectShard
     from ..storage.faults import FaultyBlobStore, FaultyRelationalStore
     from ..storage.tiering import TieredBlobStore
@@ -105,15 +102,7 @@ def chaos_shard_factory(
             default_filename=SERVICE_FILENAME,
             flush_mode=flush_mode,
         )
-        engine = session.query
-        queue = IngestionQueue(
-            session.db,
-            flush_size=flush_size,
-            flush_interval=flush_interval,
-            on_flush=lambda _count: engine.note_write(),
-            flusher=session.flusher,
-        )
-        return ProjectShard(name, session, queue)
+        return ProjectShard(name, session)
 
     return factory
 
@@ -183,8 +172,6 @@ class ChaosSoak:
         query_threads: int = 1,
         backfill: bool = True,
         pool_capacity: int = 4,
-        flush_size: int = 32,
-        flush_interval: float | None = 0.05,
         recovery_bound_seconds: float = 20.0,
         max_batch_retries: int = 5,
     ):
@@ -200,8 +187,6 @@ class ChaosSoak:
         self.query_threads = query_threads
         self.backfill = backfill
         self.pool_capacity = pool_capacity
-        self.flush_size = flush_size
-        self.flush_interval = flush_interval
         self.recovery_bound_seconds = recovery_bound_seconds
         self.max_batch_retries = max_batch_retries
         self.ledger = AckLedger()
@@ -235,14 +220,7 @@ class ChaosSoak:
         service = FlorService(
             self.root,
             pool_capacity=self.pool_capacity,
-            flush_size=self.flush_size,
-            flush_interval=self.flush_interval,
-            shard_factory=chaos_shard_factory(
-                self.root,
-                self.plan,
-                flush_size=self.flush_size,
-                flush_interval=self.flush_interval,
-            ),
+            shard_factory=chaos_shard_factory(self.root, self.plan),
             job_store=store,
         )
         return service, store

@@ -120,9 +120,7 @@ class TestBackpressureVersusEviction:
         service = FlorService(
             root,
             pool_capacity=1,
-            flush_size=8,
-            flush_interval=None,
-            shard_factory=chaos_shard_factory(root, plan, flush_size=8, flush_interval=None),
+            shard_factory=chaos_shard_factory(root, plan),
         )
         client = TestClient(service.app())
         ledger = AckLedger()

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import ProjectConfig, Session
+from repro.core.checkpoint import CheckpointKey
 from repro.errors import RecordingError
 from repro.relational.database import Database
 from repro.runtime import ASYNC, SYNC
@@ -160,3 +163,43 @@ class TestLifecycle:
         assert session.checkpoints.saved >= 1
         stored = session.objects.count()
         assert stored >= session.checkpoints.saved
+
+    def test_object_reads_wait_for_in_flight_checkpoints(self, tmp_path):
+        """Object reads are a barrier on the async checkpoint writer, the
+        way dataframe reads are on the log flusher: a checkpoint the writer
+        still holds must be stored before ``session.objects`` answers."""
+        config = ProjectConfig(tmp_path / "proj", "p").ensure_layout()
+        db = _HeldObjectWrites(config.db_path)
+        session = Session(config, db=db, default_filename="t.py", flush_mode="async")
+        try:
+            with session.checkpointing(state={"w": 1.0}):
+                session.checkpoints.save(
+                    CheckpointKey(session.projid, session.tstamp, "t.py", 1, "epoch")
+                )
+            keys = []
+            reader = threading.Thread(
+                target=lambda: keys.extend(session.objects.list_keys(session.projid))
+            )
+            reader.start()
+            reader.join(timeout=0.2)  # the writer is held: the read must wait
+            db.release.set()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+            assert [name for *_rest, name in keys] == ["ckpt::epoch"]
+        finally:
+            db.release.set()
+            session.close()
+            db.close()
+
+
+class _HeldObjectWrites(Database):
+    """A database whose ``obj_store`` writes wait until ``release`` is set."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.release = threading.Event()
+
+    def execute(self, sql, params=()):
+        if "INTO obj_store" in sql:
+            self.release.wait()
+        return super().execute(sql, params)

@@ -110,7 +110,7 @@ class TestEngine:
 class TestServiceWiring:
     def test_dataframe_warm_across_requests_and_invalidated_by_ingest(self, tmp_path):
         """End-to-end: ingest -> read -> ingest -> read through HTTP routes."""
-        service = FlorService(tmp_path / "svc", flush_size=4, flush_interval=None)
+        service = FlorService(tmp_path / "svc")
         client = TestClient(service.app())
         try:
             payload = {

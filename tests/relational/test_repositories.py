@@ -47,11 +47,6 @@ class TestLogRepository:
         assert [r.value_name for r in log_repo.by_names("p", ["loss"])] == ["loss"]
         assert log_repo.by_names("p", []) == []
 
-    def test_by_tstamp(self, log_repo):
-        log_repo.add(LogRecord.create("p", "t1", "f.py", 1, "acc", 1))
-        log_repo.add(LogRecord.create("p", "t2", "f.py", 1, "acc", 2))
-        assert len(log_repo.by_tstamp("p", "t2")) == 1
-
     def test_distinct_names_and_tstamps(self, log_repo):
         log_repo.add_many(
             [
@@ -61,7 +56,6 @@ class TestLogRepository:
             ]
         )
         assert log_repo.distinct_names("p") == ["acc", "loss"]
-        assert log_repo.distinct_tstamps("p") == ["t1", "t2"]
 
     def test_projects_are_isolated(self, log_repo):
         log_repo.add(LogRecord.create("p1", "t", "f.py", 1, "acc", 1))
@@ -96,8 +90,6 @@ class TestTs2VidRepository:
         repo.add(Ts2VidRecord("p", "2025-01-01T00:00:00", "2025-01-01T01:00:00", "v1"))
         repo.add(Ts2VidRecord("p", "2025-01-02T00:00:00", "2025-01-02T01:00:00", "v2", "run"))
         assert repo.latest("p").vid == "v2"
-        assert repo.vid_for_tstamp("p", "2025-01-01T00:30:00") == "v1"
-        assert repo.vid_for_tstamp("p", "1999-01-01T00:00:00") is None
         assert len(repo.all("p")) == 2
 
 
@@ -134,9 +126,3 @@ class TestBuildDepRepository:
         records = repo.by_vid("v1")
         assert [r.target for r in records] == ["featurize", "train"]
         assert repo.by_vid("v2") == []
-
-    def test_mark_cached(self, db):
-        repo = BuildDepRepository(db)
-        repo.add(BuildDepRecord("v1", "train", ("featurize",), ("python train.py",)))
-        repo.mark_cached("v1", "train", True)
-        assert repo.get("v1", "train").cached is True

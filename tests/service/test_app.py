@@ -12,7 +12,7 @@ from repro.webapp.framework import TestClient
 
 @pytest.fixture()
 def service(tmp_path):
-    service = FlorService(tmp_path / "host", pool_capacity=4, flush_size=4, flush_interval=None)
+    service = FlorService(tmp_path / "host", pool_capacity=4)
     yield service
     service.close()
 
@@ -36,18 +36,16 @@ class TestAppend:
         assert response.status == 202
         body = response.json()
         assert body["queued"] == 2
-        assert body["flushed"] is False
-        assert body["pending"] == 2
+        assert set(body) == {"queued", "pending"}
+        assert 0 <= body["pending"] <= 2  # rows the flusher has not committed yet
 
-    def test_batch_flush_on_size_through_the_endpoint(self, client, service):
+    def test_every_append_is_handed_to_the_writer_on_arrival(self, client, service):
         _append(client, "alpha", [0.5, 0.4])
-        response = _append(client, "alpha", [0.3, 0.2])  # reaches flush_size=4
-        assert response.json()["flushed"] is True
-        assert response.json()["pending"] == 0
+        _append(client, "alpha", [0.3, 0.2])
         with service.pool.checkout("alpha") as shard:
-            # The size trigger handed the batch to the (async) flusher; the
-            # shard flush is the durability barrier readers go through.
-            shard.flush()
+            # No staging in front of the flusher: draining the flusher alone
+            # (not the shard's read barrier) makes both appends durable.
+            shard.session.flusher.drain()
             assert shard.session.db.count("logs") == 4
 
     def test_append_accepts_loop_records(self, client, service):
@@ -100,7 +98,7 @@ class TestAppend:
 
 class TestReads:
     def test_dataframe_reads_its_own_queued_writes(self, client):
-        _append(client, "alpha", [0.5])  # stays pending (flush_size=4)
+        _append(client, "alpha", [0.5])  # may still ride the flusher
         response = client.get("/projects/alpha/dataframe?names=loss")
         assert response.status == 200
         body = response.json()
@@ -183,12 +181,12 @@ class TestReads:
 
 class TestCommit:
     def test_commit_flushes_the_queue_and_returns_a_vid(self, client, service):
-        _append(client, "alpha", [0.5])  # pending, below flush_size
+        _append(client, "alpha", [0.5])
         response = client.post("/projects/alpha/commit", json_body={"message": "run 1"})
         assert response.status == 200
         assert response.json()["vid"]
         with service.pool.checkout("alpha") as shard:
-            assert shard.queue.pending == 0
+            assert shard.session.pending_records == 0
             assert shard.session.db.count("logs") == 1
             assert shard.session.db.count("ts2vid") == 1
 
@@ -222,10 +220,10 @@ class TestTenancy:
         assert client.get("/projects/alpha/nope").status == 404
 
     def test_lru_eviction_is_transparent_to_clients(self, tmp_path):
-        service = FlorService(tmp_path / "small", pool_capacity=1, flush_size=2, flush_interval=None)
+        service = FlorService(tmp_path / "small", pool_capacity=1)
         try:
             client = TestClient(service.app())
-            _append(client, "alpha", [0.5])  # pending when beta evicts alpha
+            _append(client, "alpha", [0.5])  # may be in flight when beta evicts alpha
             _append(client, "beta", [0.9])
             count = client.get("/projects/alpha/sql?q=SELECT COUNT(*) AS n FROM logs").json()
             assert count["records"] == [{"n": 1}]
@@ -249,11 +247,12 @@ class TestIntrospection:
 
     def test_project_stats_reports_counts_and_queue(self, client):
         _append(client, "alpha", [0.5])
+        client.get("/projects/alpha/sql?q=SELECT 1")  # primary read: drains the writer
         body = client.get("/projects/alpha/stats").json()
         assert body["project"] == "alpha"
-        assert body["pending"] == 1
-        assert body["tables"]["logs"] == 0  # still queued
-        assert body["ingest"]["appended"] == 1
+        assert body["pending"] == 0  # the flusher's not-yet-durable rows
+        assert body["tables"]["logs"] == 1
+        assert body["flusher"]["written_rows"] == 1
 
     def test_project_stats_exposes_the_durability_fields(self, client, service):
         """The seal-protocol surface: a monotone drop total plus the live
@@ -276,7 +275,7 @@ class TestIntrospection:
 
 class TestConcurrency:
     def test_eight_threads_append_without_loss(self, tmp_path):
-        service = FlorService(tmp_path / "conc", pool_capacity=4, flush_size=16, flush_interval=None)
+        service = FlorService(tmp_path / "conc", pool_capacity=4)
         try:
             client = TestClient(service.app())
             errors = []

@@ -17,7 +17,7 @@ PROJECT = WORKLOAD.project_names()[0]
 def service(tmp_path):
     root = tmp_path / "host"
     WORKLOAD.populate(root)
-    service = FlorService(root, flush_interval=None)
+    service = FlorService(root)
     yield service
     service.close()
 

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.relational.records import LogRecord
+from repro.runtime import FlushCallbackError
 from repro.service.pool import DatabasePool
 
 
@@ -17,7 +18,7 @@ def pool(tmp_path):
     pool.close()
 
 
-def _log(shard, i: int) -> LogRecord:
+def _log(shard, i: int) -> tuple:
     return LogRecord.create(
         projid=shard.session.projid,
         tstamp=shard.session.tstamp,
@@ -25,7 +26,7 @@ def _log(shard, i: int) -> LogRecord:
         ctx_id=i,
         value_name="m",
         value=i,
-    )
+    ).as_row()
 
 
 class TestLookup:
@@ -59,10 +60,9 @@ class TestEviction:
 
     def test_eviction_flushes_pending_records(self, pool):
         alpha = pool.get("alpha")
-        alpha.queue.append(logs=[_log(alpha, 0), _log(alpha, 1)])
-        assert alpha.queue.pending == 2
+        alpha.append([_log(alpha, 0), _log(alpha, 1)])
         pool.get("beta")
-        pool.get("gamma")  # evicts alpha with queued records
+        pool.get("gamma")  # evicts alpha, draining its flusher first
         assert alpha.closed
         # Reopen: the acknowledged records survived the eviction.
         reopened = pool.get("alpha")
@@ -87,9 +87,9 @@ class TestEviction:
     def test_failed_eviction_flush_reinstates_the_shard(self, pool, monkeypatch):
         """A flush failure during eviction must not drop acknowledged records."""
         alpha = pool.get("alpha")
-        alpha.queue.append(logs=[_log(alpha, 0)])
+        alpha.append([_log(alpha, 0)])
         attempts = []
-        original_flush = alpha.queue.flush
+        original_flush = alpha.session.flush
 
         def failing_flush():
             if not attempts:
@@ -97,15 +97,15 @@ class TestEviction:
                 raise RuntimeError("disk hiccup")
             return original_flush()
 
-        monkeypatch.setattr(alpha.queue, "flush", failing_flush)
+        monkeypatch.setattr(alpha.session, "flush", failing_flush)
         pool.get("beta")
         pool.get("gamma")  # eviction of alpha: close fails, shard reinstated
         assert not alpha.closed
         assert "alpha" in pool
-        assert alpha.queue.pending == 1  # records still reachable
+        alpha.flush()  # records still reachable through the reinstated shard
+        assert alpha.session.db.count("logs") == 1
         pool.close()  # second attempt succeeds
         assert alpha.closed
-        assert alpha.queue.pending == 0
 
     def test_factory_failure_does_not_wedge_the_pool(self, tmp_path):
         calls = []
@@ -174,7 +174,7 @@ class TestCheckout:
             def worker(worker_id: int) -> None:
                 for i in range(20):
                     with pool.checkout("shared") as shard:
-                        shard.queue.append(logs=[_log(shard, worker_id * 100 + i)])
+                        shard.append([_log(shard, worker_id * 100 + i)])
 
             threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
             for thread in threads:
@@ -187,12 +187,78 @@ class TestCheckout:
         finally:
             pool.close()
 
-    def test_flush_all_reports_written_records(self, pool):
-        alpha = pool.get("alpha")
-        beta = pool.get("beta")
-        alpha.queue.append(logs=[_log(alpha, 0)])
-        beta.queue.append(logs=[_log(beta, 0), _log(beta, 1)])
-        assert pool.flush_all() == 3
+
+class TestAppend:
+    def test_append_hands_off_to_the_flusher_and_flush_drains(self, tmp_path):
+        pool = DatabasePool(tmp_path / "p", flush_mode="async")
+        try:
+            shard = pool.get("alpha")
+            shard.append([_log(shard, 0), _log(shard, 1)])
+            shard.session.flusher.drain()
+            assert shard.session.db.count("logs") == 2  # handed off on arrival
+            shard.append([_log(shard, 2)])
+            shard.flush()  # the explicit flush drains the later batch too
+            assert shard.session.db.count("logs") == 3
+        finally:
+            pool.close()
+
+
+class TestPostCommitHook:
+    """``ProjectShard.append``'s hook runs after the commit, never twice a write."""
+
+    def test_failing_hook_leaves_each_row_stored_once(self, tmp_path):
+        def broken_hook(_name, _count):
+            raise ValueError("hook broke")
+
+        pool = DatabasePool(tmp_path / "p", flush_mode="sync", on_ingest=broken_hook)
+        try:
+            shard = pool.get("alpha")
+            with pytest.raises(FlushCallbackError, match="hook broke"):
+                shard.append([_log(shard, 0), _log(shard, 1)])
+            assert shard.session.db.count("logs") == 2  # committed before the hook
+            shard.on_ingest = None
+            shard.append([_log(shard, 2)])
+            shard.flush()
+            assert shard.session.db.count("logs") == 3  # no duplicates
+        finally:
+            pool.close()
+
+    def test_deferred_hook_error_does_not_drop_later_batches(self, tmp_path):
+        calls = []
+
+        def flaky_hook(_name, _count):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("hook broke once")
+
+        pool = DatabasePool(tmp_path / "p", flush_mode="async", on_ingest=flaky_hook)
+        try:
+            shard = pool.get("alpha")
+            shard.append([_log(shard, 0), _log(shard, 1)])  # hook will raise post-commit
+            shard.append([_log(shard, 2), _log(shard, 3)])  # must not be lost
+            shard.append([_log(shard, 4)])
+            with pytest.raises(Exception, match="hook broke once"):
+                shard.flush()  # the barrier surfaces the deferred hook error
+            shard.flush()
+            assert shard.session.db.count("logs") == 5  # every row, each once
+        finally:
+            pool.close()
+
+    def test_hook_fires_after_rows_are_visible(self, tmp_path):
+        observed = []
+        pool = DatabasePool(tmp_path / "p", flush_mode="async")
+        try:
+            shard = pool.get("alpha")
+            shard.on_ingest = lambda name, count: observed.append(
+                (name, count, shard.session.db.count("logs"))
+            )
+            shard.append([_log(shard, 0), _log(shard, 1)])
+            shard.flush()
+            # Cache invalidation and tail wakeups run only once the batch
+            # is committed.
+            assert observed == [("alpha", 2, 2)]
+        finally:
+            pool.close()
 
 
 class TestDurabilityCounters:

@@ -19,7 +19,7 @@ from repro.workloads import BackfillJobWorkload
 
 @pytest.fixture()
 def service(tmp_path):
-    service = FlorService(tmp_path / "host", flush_interval=None, qos=True)
+    service = FlorService(tmp_path / "host", qos=True)
     yield service
     service.close()
 
@@ -93,7 +93,7 @@ class TestEnforcement:
         assert set(qos["tenants"]) == {"hot", "cold"}
 
     def test_disabled_service_never_throttles_and_reports_no_qos(self, tmp_path):
-        service = FlorService(tmp_path / "plain", flush_interval=None)
+        service = FlorService(tmp_path / "plain")
         try:
             client = TestClient(service.app())
             # The policy table is writable even with enforcement off …
@@ -177,7 +177,7 @@ class TestPolicyFileAndJobPriority:
             )
         )
         service = FlorService(
-            tmp_path / "host", flush_interval=None, qos_policy_file=policy_file
+            tmp_path / "host", qos_policy_file=policy_file
         )
         try:
             client = TestClient(service.app())
@@ -193,7 +193,7 @@ class TestPolicyFileAndJobPriority:
         project = workload.project_names()[0]
         root = tmp_path / "host"
         workload.populate(root)
-        service = FlorService(root, flush_interval=None, qos=True)
+        service = FlorService(root, qos=True)
         try:
             client = TestClient(service.app())
             client.put(f"/service/policy/{project}", json_body={"priority": "high"})

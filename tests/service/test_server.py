@@ -16,7 +16,16 @@ from repro.service.server import make_server, serve
 @pytest.fixture()
 def running_service(tmp_path):
     """A FlorService behind a real socket on an ephemeral port."""
-    service = FlorService(tmp_path / "host", flush_size=2, flush_interval=None)
+    yield from _serving(FlorService(tmp_path / "host"))
+
+
+@pytest.fixture()
+def sync_service(tmp_path):
+    """Like ``running_service``, with appends written inline (sync mode)."""
+    yield from _serving(FlorService(tmp_path / "host", flush_mode="sync"))
+
+
+def _serving(service: FlorService):
     address = {}
     ready = threading.Event()
     stop = threading.Event()
@@ -109,6 +118,29 @@ class TestBridge:
         assert errors == []
         _, body = _get(base + "/projects/shared/sql?q=SELECT%20COUNT(*)%20AS%20n%20FROM%20logs")
         assert body["records"] == [{"n": 40}]
+
+
+class TestSyncWriteFailure:
+    def test_failed_inline_write_fails_the_append_and_stores_nothing(
+        self, sync_service, monkeypatch
+    ):
+        base, service = sync_service
+        shard = service.pool.get("alpha")
+
+        def broken_transaction():
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(shard.session.db, "transaction", broken_transaction)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base + "/projects/alpha/logs", {"records": [{"name": "loss", "value": 0.5}]})
+        assert excinfo.value.code == 500
+        excinfo.value.close()
+        monkeypatch.undo()
+        count = base + "/projects/alpha/sql?q=SELECT%20COUNT(*)%20AS%20n%20FROM%20logs"
+        assert _get(count)[1]["records"] == [{"n": 0}]
+        # Nothing was kept back for a retry: the next append lands alone.
+        _post(base + "/projects/alpha/logs", {"records": [{"name": "loss", "value": 0.4}]})
+        assert _get(count)[1]["records"] == [{"n": 1}]
 
 
 class TestMakeServer:

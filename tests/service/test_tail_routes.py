@@ -9,6 +9,9 @@ which is exactly the live-tail behaviour over a socket (minus the socket).
 
 from __future__ import annotations
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.service import FlorService
@@ -17,7 +20,7 @@ from repro.webapp.framework import TestClient
 
 @pytest.fixture()
 def service(tmp_path):
-    service = FlorService(tmp_path / "host", pool_capacity=4, flush_size=2, flush_interval=None)
+    service = FlorService(tmp_path / "host", pool_capacity=4)
     yield service
     service.close()
 
@@ -101,9 +104,26 @@ class TestProjectTailLive:
         events = iter(stream.events(max_events=4, timeout=10))
         assert next(events).id == "1"
         assert next(events).id == "2"
-        _ingest(client, "alpha", [0.3, 0.2])  # flush_size=2 commits inline
+        _ingest(client, "alpha", [0.3, 0.2])
         _flush(service, "alpha")
         assert [e.id for e in events] == ["3", "4"]
+
+    def test_small_append_to_an_idle_tenant_commits_without_another_request(self, tmp_path):
+        """With the service defaults, one small append is committed and
+        published on arrival — not held until a later append or read."""
+        service = FlorService(tmp_path / "idle")
+        try:
+            client = TestClient(service.app())
+            # Create the tenant without logging a row, then go idle.
+            assert client.post("/projects/alpha/commit", json_body={}).status == 200
+            stream = _tail(client, "alpha")
+            _ingest(client, "alpha", [0.5])
+            assert [e.id for e in stream.collect(max_events=1, timeout=5)] == ["1"]
+            db_path = service.root / "alpha" / ".flor" / "flor.db"
+            with closing(sqlite3.connect(db_path)) as raw:
+                assert raw.execute("SELECT COUNT(*) FROM logs").fetchone() == (1,)
+        finally:
+            service.close()
 
     def test_stale_cursor_beyond_the_watermark_is_clamped(self, client, service):
         """A Last-Event-ID from before a project reset must not make the
@@ -152,7 +172,7 @@ class TestProjectTailLive:
 class TestEvictionAndBackpressure:
     def test_slow_consumer_is_evicted_and_told_why(self, tmp_path):
         service = FlorService(
-            tmp_path / "host", flush_size=2, flush_interval=None, tail_max_lag=3
+            tmp_path / "host", tail_max_lag=3
         )
         try:
             client = TestClient(service.app())
@@ -172,7 +192,7 @@ class TestEvictionAndBackpressure:
 
     def test_subscriber_cap_answers_503_with_retry_after(self, tmp_path):
         service = FlorService(
-            tmp_path / "host", flush_size=2, flush_interval=None, tail_max_subscribers=1
+            tmp_path / "host", tail_max_subscribers=1
         )
         try:
             client = TestClient(service.app())
@@ -189,7 +209,7 @@ class TestEvictionAndBackpressure:
             service.close()
 
     def test_service_close_ends_open_tails(self, tmp_path):
-        service = FlorService(tmp_path / "host", flush_size=2, flush_interval=None)
+        service = FlorService(tmp_path / "host")
         client = TestClient(service.app())
         _ingest(client, "alpha", [0.1, 0.2])
         _flush(service, "alpha")

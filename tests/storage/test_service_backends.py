@@ -31,7 +31,7 @@ class TestReplicaRouting:
         service, client = _service(tmp_path, replicas=2, replica_staleness=0.0)
         try:
             _append(client, "alpha", [("acc", 0.9)])
-            client.post("/projects/alpha/commit", {})  # flushes the queue
+            client.post("/projects/alpha/commit", {})  # drains the writer
             response = client.get("/projects/alpha/dataframe?names=acc")
             body = response.json()
             assert response.status == 200
@@ -41,13 +41,15 @@ class TestReplicaRouting:
             service.close()
 
     def test_replica_reads_are_bounded_stale_not_read_your_writes(self, tmp_path):
-        # A huge staleness bound plus no flush: the replica legitimately
+        # A huge staleness bound: once synced, the replica legitimately
         # serves the pre-write snapshot, and the watermark says so.
         service, client = _service(tmp_path, replicas=1, replica_staleness=3600.0)
         try:
-            _append(client, "alpha", [("acc", 1)])
+            client.post("/projects/alpha/commit", {})  # create the tenant
+            client.get("/projects/alpha/dataframe?names=acc")  # sync the replica
+            _append(client, "alpha", [("acc", 1)])  # committed inline (sync mode)
             first = client.get("/projects/alpha/dataframe?names=acc").json()
-            assert first["watermark"] == 0  # queued write not flushed yet
+            assert first["watermark"] == 0  # the replica has not re-synced yet
             assert first["rows"] == 0
             # Primary read flushes and sees the write immediately.
             primary = client.get("/projects/alpha/dataframe?names=acc&primary=1").json()

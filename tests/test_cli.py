@@ -237,14 +237,13 @@ class TestServeParser:
         from repro.cli import _cmd_serve, build_parser
 
         args = build_parser().parse_args(
-            ["--project", "/srv/flor", "serve", "--port", "0", "--flush-size", "32"]
+            ["--project", "/srv/flor", "serve", "--port", "0", "--pool-capacity", "4"]
         )
         assert args.func is _cmd_serve
         assert args.project == "/srv/flor"
         assert args.port == 0
-        assert args.flush_size == 32
-        assert args.pool_capacity == 8
-        assert args.flush_interval == 0.5
+        assert args.pool_capacity == 4
+        assert args.workers == 0
 
     def test_serve_help_mentions_shards(self, capsys):
         from repro.cli import build_parser
@@ -253,7 +252,7 @@ class TestServeParser:
             build_parser().parse_args(["serve", "--help"])
         out = capsys.readouterr().out
         assert "shard" in out
-        assert "--flush-size" in out
+        assert "--pool-capacity" in out
 
 
 class TestBackfillDryRun:

@@ -87,7 +87,7 @@ class TestServiceWorkload:
         from repro.webapp.framework import TestClient
         from repro.workloads import ServiceWorkload
 
-        service = FlorService(tmp_path / "svc", flush_size=8, flush_interval=None)
+        service = FlorService(tmp_path / "svc")
         try:
             workload = ServiceWorkload(
                 clients=4, requests_per_client=5, records_per_request=2, projects=2

@@ -34,7 +34,7 @@ class TestAgentSessionWorkload:
 
     def test_http_ingestion_matches_the_record_math(self, tmp_path):
         workload = AgentSessionWorkload(sessions=2, turns_per_session=2, tool_calls_per_turn=1)
-        service = FlorService(tmp_path / "root", flush_size=4, flush_interval=None)
+        service = FlorService(tmp_path / "root")
         client = TestClient(service.app())
         try:
             for payload in workload.request_payloads():
@@ -69,7 +69,7 @@ class TestMultiProjectFanoutWorkload:
         # ordering is what churns the pool's LRU in the chaos soak.
         first_cycle = [project for project, _ in pairs[: workload.tenants]]
         assert first_cycle == workload.project_names()
-        service = FlorService(tmp_path / "root", pool_capacity=2, flush_size=4, flush_interval=None)
+        service = FlorService(tmp_path / "root", pool_capacity=2)
         client = TestClient(service.app())
         try:
             for project, payload in pairs:
