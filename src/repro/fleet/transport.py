@@ -28,7 +28,7 @@ import http.client
 import json
 import socket
 import threading
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 from urllib.parse import urlsplit
 
 from ..errors import TransportError
@@ -61,28 +61,37 @@ class HttpClient:
         self.netloc = parts.netloc
         self.timeout = timeout
         self._local = threading.local()
-        # Every connection ever opened, for close(): thread-locals are not
-        # enumerable from the closing thread.
-        self._all: list[http.client.HTTPConnection] = []
+        # Every open connection, for close(): thread-locals are not
+        # enumerable from the closing thread.  A connection leaves the set
+        # when it is replaced or its stream is closed.
+        self._all: set[http.client.HTTPConnection] = set()
         self._all_lock = threading.Lock()
 
     # ---------------------------------------------------------- connections
+    def _open(self) -> http.client.HTTPConnection:
+        conn = http.client.HTTPConnection(self.netloc, timeout=self.timeout)
+        with self._all_lock:
+            self._all.add(conn)
+        return conn
+
+    def _release(self, conn: http.client.HTTPConnection) -> None:
+        with self._all_lock:
+            self._all.discard(conn)
+        conn.close()
+
     def _connection(self, *, fresh: bool = False) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if fresh and conn is not None:
-            conn.close()
+            self._release(conn)
             conn = None
         if conn is None:
-            conn = http.client.HTTPConnection(self.netloc, timeout=self.timeout)
-            self._local.conn = conn
-            with self._all_lock:
-                self._all.append(conn)
+            conn = self._local.conn = self._open()
         return conn
 
     def close(self) -> None:
-        """Close every connection this client ever opened (any thread's)."""
+        """Close every connection this client has open (any thread's)."""
         with self._all_lock:
-            conns, self._all = self._all, []
+            conns, self._all = self._all, set()
         for conn in conns:
             conn.close()
 
@@ -136,18 +145,16 @@ class HttpClient:
         immediately — resuming a broken stream is the caller's job (the
         cursor in ``Last-Event-ID`` makes it lossless).
         """
-        conn = http.client.HTTPConnection(self.netloc, timeout=self.timeout)
-        with self._all_lock:
-            self._all.append(conn)
+        conn = self._open()
         try:
             conn.request("GET", url, headers=dict(headers or {}))
             raw = conn.getresponse()
         except _RETRYABLE as exc:
-            conn.close()
+            self._release(conn)
             raise TransportError(
                 f"GET http://{self.netloc}{url} failed: {exc}"
             ) from exc
-        return StreamedResponse(conn, raw)
+        return StreamedResponse(conn, raw, release=self._release)
 
     # TestClient-compatible surface -----------------------------------------
     def get(self, url: str) -> Response:
@@ -198,9 +205,16 @@ class StreamedResponse:
     stream consumers resume by reconnecting with their cursor.
     """
 
-    def __init__(self, conn: http.client.HTTPConnection, raw: http.client.HTTPResponse):
+    def __init__(
+        self,
+        conn: http.client.HTTPConnection,
+        raw: http.client.HTTPResponse,
+        *,
+        release: Callable[[http.client.HTTPConnection], None],
+    ):
         self._conn = conn
         self._raw = raw
+        self._release = release
         self.status = raw.status
         self.headers = {k: v for k, v in raw.getheaders()}
 
@@ -233,7 +247,7 @@ class StreamedResponse:
         return SSEStream(self.chunks(), headers=self.headers, status=self.status)
 
     def close(self) -> None:
-        self._conn.close()
+        self._release(self._conn)
 
     def __enter__(self) -> "StreamedResponse":
         return self

@@ -33,6 +33,11 @@ def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
     class FrameworkHTTPHandler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "flordb-service"
+        # TCP_NODELAY on every accepted socket.  A response goes out as
+        # two sends (headers, then body) and an SSE stream as one send per
+        # frame; under Nagle the second send waits for the ACK of the
+        # first, which a keep-alive client delays by ~40 ms.
+        disable_nagle_algorithm = True
 
         def _dispatch(self) -> None:
             length = int(self.headers.get("Content-Length") or 0)

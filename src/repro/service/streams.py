@@ -46,9 +46,11 @@ DEFAULT_KEEPALIVE = 15.0
 MIN_KEEPALIVE = 0.05
 MAX_KEEPALIVE = 60.0
 
+# The unary ``+`` keeps SQLite off the ``projid`` indexes (which would
+# need a temp B-tree sort by ``seq``): the plan is a rowid range scan.
 _TAIL_ROWS_SQL = (
     "SELECT seq, tstamp, filename, ctx_id, value_name, value, value_type"
-    " FROM logs WHERE projid = ? AND seq > ? ORDER BY seq LIMIT ?"
+    " FROM logs WHERE +projid = ? AND seq > ? ORDER BY seq LIMIT ?"
 )
 
 

@@ -10,7 +10,8 @@ Everything needed to stress the durability story deterministically:
 * :mod:`~repro.testing.procs` — :class:`ServerProcess`, which SIGKILLs a
   real ``repro serve --job-workers`` subprocess at named barriers, and
   :class:`FleetProcess`, the same management for ``repro serve
-  --workers N`` plus per-worker kill/recovery introspection;
+  --workers N`` plus per-worker kill/recovery introspection, and
+  :func:`keepalive_p50_ms`, the keep-alive socket-floor probe;
 * :mod:`~repro.testing.soak` — :class:`ChaosSoak`, the mixed-traffic
   engine behind the T13 benchmark;
 * the storage fault wrappers (:class:`FaultyRelationalStore`,
@@ -39,7 +40,7 @@ from .invariants import (
     check_single_replay,
     logs_watermark,
 )
-from .procs import FleetProcess, ServerProcess, ServerProcessError
+from .procs import FleetProcess, ServerProcess, ServerProcessError, keepalive_p50_ms
 from .soak import ChaosSoak, SoakReport, chaos_shard_factory
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "check_no_lost_rows",
     "check_recovery_time",
     "check_single_replay",
+    "keepalive_p50_ms",
     "logs_watermark",
     "recent_mark",
     "seeds_since",

@@ -25,10 +25,12 @@ respawned and re-registered it.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -36,6 +38,7 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 from typing import Any, Callable
+from urllib.parse import urlsplit
 
 #: Matches the serve banner: ``... at http://127.0.0.1:PORT``.
 _BANNER = re.compile(r"at (http://[\d.]+:\d+)")
@@ -43,6 +46,31 @@ _BANNER = re.compile(r"at (http://[\d.]+:\d+)")
 
 class ServerProcessError(RuntimeError):
     """The managed server misbehaved (never came up, vanished early, ...)."""
+
+
+def keepalive_p50_ms(
+    base_url: str, path: str = "/healthz", *, requests: int = 21, timeout: float = 10.0
+) -> float:
+    """Median milliseconds of back-to-back GETs on one keep-alive connection.
+
+    The socket-floor probe: a server that lets Nagle hold a response body
+    behind its headers pays the client's ~40 ms delayed ACK on every such
+    request, whatever the route costs.
+    """
+    conn = http.client.HTTPConnection(urlsplit(base_url).netloc, timeout=timeout)
+    samples = []
+    try:
+        for _ in range(requests):
+            start = time.perf_counter()
+            conn.request("GET", path)
+            response = conn.getresponse()
+            response.read()
+            if response.status != 200:
+                raise ServerProcessError(f"GET {path} returned {response.status}")
+            samples.append((time.perf_counter() - start) * 1000.0)
+    finally:
+        conn.close()
+    return statistics.median(samples)
 
 
 class ServerProcess:

@@ -50,7 +50,9 @@ def qos_fleet(tmp_path):
     for worker_id in ("w0", "w1"):
         app = _CountingEchoApp(worker_id)
         server = make_server(app)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True
+        ).start()
         servers.append(server)
         backends[worker_id] = app
         host, port = server.server_address[:2]

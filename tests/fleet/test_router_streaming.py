@@ -90,7 +90,9 @@ def fleet():
     supervisor = FleetSupervisor(lambda wid, url: ["unused"], workers=2)
     for worker_id in ("w0", "w1"):
         server = make_server(_StreamApp(worker_id))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True
+        )
         thread.start()
         servers.append(server)
         threads.append(thread)
@@ -117,6 +119,13 @@ class TestTailRelay:
         hello = events[0].json()
         assert hello["backend"] == supervisor.route("alpha")
         assert [e.id for e in events] == ["1", "2", "3", "4"]
+
+    def test_relayed_tails_do_not_accumulate_upstream_connections(self, fleet):
+        supervisor, router, client = fleet
+        for _ in range(20):
+            assert len(client.sse("/projects/alpha/tail").collect(timeout=10)) == 4
+        upstream = router._client_for(supervisor.url_for(supervisor.route("alpha")))
+        assert upstream._all == set()
 
     def test_last_event_id_header_is_forwarded_upstream(self, fleet):
         _, _, client = fleet
@@ -216,6 +225,16 @@ class TestHttpClientStream:
             stream = client.stream("/projects/alpha/tail?refuse=1")
             assert stream.status == 503
             assert b"too many" in stream.read()
+
+    def test_closed_streams_leave_no_connection_behind(self, fleet):
+        supervisor, _, _ = fleet
+        with HttpClient(supervisor.url_for("w0")) as client:
+            assert client.get("/projects/alpha/stats").ok
+            for _ in range(20):
+                assert len(client.stream("/projects/alpha/tail").sse().collect(timeout=10)) == 4
+                client.stream("/projects/alpha/tail?refuse=1").read()
+            # Only the thread's keep-alive connection is still held.
+            assert len(client._all) == 1
 
     def test_connect_failure_raises_transport_error(self):
         from repro.errors import TransportError

@@ -44,7 +44,9 @@ class _CountingServer:
             return result
 
         self.server.get_request = counting_get_request
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True
+        )
         self.thread.start()
         host, port = self.server.server_address[:2]
         self.url = f"http://{host}:{port}"
@@ -62,6 +64,34 @@ def backend():
         yield server
     finally:
         server.close()
+
+
+class _StaleKeepAlive(socketserver.BaseRequestHandler):
+    """Answers one request as HTTP/1.1, then closes without saying so."""
+
+    def handle(self):
+        self.request.recv(65536)
+        body = b'{"pong": true}'
+        self.request.sendall(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+
+
+@pytest.fixture
+def stale_backend():
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _StaleKeepAlive)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True
+    )
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=2)
 
 
 class TestKeepAlive:
@@ -91,32 +121,20 @@ class TestKeepAlive:
         # One socket per thread — not one per request, not one shared.
         assert backend.connections == 2
 
-    def test_retries_once_when_the_keepalive_socket_went_stale(self):
-        # This server claims HTTP/1.1 keep-alive but silently closes after
+    def test_retries_once_when_the_keepalive_socket_went_stale(self, stale_backend):
+        # The server claims HTTP/1.1 keep-alive but silently closes after
         # every response — exactly what a worker restart does to the
         # router's cached connection.  The client must retry each request
         # on a fresh socket instead of surfacing the stale-socket error.
-        class _Liar(socketserver.BaseRequestHandler):
-            def handle(self):
-                self.request.recv(65536)
-                body = b'{"pong": true}'
-                self.request.sendall(
-                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
-                )
+        with HttpClient(stale_backend) as client:
+            for _ in range(3):
+                assert client.get("/ping").json() == {"pong": True}
 
-        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _Liar)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            with HttpClient(f"http://{host}:{port}") as client:
-                for _ in range(3):
-                    assert client.get("/ping").json() == {"pong": True}
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=2)
+    def test_replaced_connections_are_released(self, stale_backend):
+        with HttpClient(stale_backend) as client:
+            for _ in range(5):
+                assert client.get("/ping").ok
+            assert len(client._all) == 1
 
 
 class TestErrors:

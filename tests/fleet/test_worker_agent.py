@@ -36,7 +36,9 @@ def _control_plane():
 
     server = make_server(app)
     _track_connections(server)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True
+    )
     thread.start()
     host, port = server.server_address[:2]
     return server, thread, f"http://{host}:{port}", beats
@@ -149,7 +151,9 @@ class TestOrphanDetection:
 
             server2 = make_server(app, host=host, port=port)
             _track_connections(server2)
-            thread2 = threading.Thread(target=server2.serve_forever, daemon=True)
+            thread2 = threading.Thread(
+                target=server2.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True
+            )
             thread2.start()
             try:
                 _wait_for(lambda: agent.orphaned_for() is None, timeout=5.0,

@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.fleet.transport import HttpClient
 from repro.service import FlorService
 from repro.service.server import make_server, serve
+from repro.testing import keepalive_p50_ms
+
+#: A server socket without TCP_NODELAY stalls ~44 ms a request on the
+#: client's delayed ACK; with it a request takes under 1 ms, so
+#: these bounds hold on a loaded runner.
+KEEPALIVE_P50_BOUND_MS = 10.0
+FRAME_GAP_BOUND_S = 0.040
 
 
 @pytest.fixture()
@@ -118,6 +127,48 @@ class TestBridge:
         assert errors == []
         _, body = _get(base + "/projects/shared/sql?q=SELECT%20COUNT(*)%20AS%20n%20FROM%20logs")
         assert body["records"] == [{"n": 40}]
+
+
+class TestSocketFloor:
+    def test_keepalive_requests_pay_no_socket_stall(self, running_service):
+        base, _ = running_service
+        assert keepalive_p50_ms(base, "/healthz") < KEEPALIVE_P50_BOUND_MS
+
+    def test_back_to_back_appends_reach_a_tail_without_a_stall(self, sync_service):
+        base, _ = sync_service
+        shipper, subscriber = HttpClient(base), HttpClient(base)
+
+        def append(value: int) -> None:
+            response = shipper.post(
+                "/projects/alpha/logs", json_body={"records": [{"name": "m", "value": value}]}
+            )
+            assert response.ok
+
+        arrivals: dict[str, float] = {}
+        caught_up = threading.Event()
+
+        def tail() -> None:
+            stream = subscriber.stream("/projects/alpha/tail?keepalive=5")
+            for event in stream.sse().events(timeout=10):
+                if event.event == "log":
+                    arrivals[event.id] = time.perf_counter()
+                    caught_up.set()
+                    if event.id == "3":
+                        return
+
+        try:
+            append(0)
+            reader = threading.Thread(target=tail, daemon=True)
+            reader.start()
+            assert caught_up.wait(timeout=10)
+            append(1)
+            append(2)
+            reader.join(timeout=10)
+        finally:
+            shipper.close()
+            subscriber.close()
+        assert set(arrivals) == {"1", "2", "3"}
+        assert arrivals["3"] - arrivals["2"] < FRAME_GAP_BOUND_S
 
 
 class TestSyncWriteFailure:

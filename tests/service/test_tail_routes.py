@@ -15,6 +15,7 @@ from contextlib import closing
 import pytest
 
 from repro.service import FlorService
+from repro.service.streams import _TAIL_ROWS_SQL
 from repro.webapp.framework import TestClient
 
 
@@ -167,6 +168,40 @@ class TestProjectTailLive:
         _ingest(client, "alpha", [0.3, 0.2])
         _flush(service, "alpha")
         assert [e.id for e in events] == ["3", "4"]
+
+
+class TestTailQueryPlan:
+    """The tail re-query runs per subscriber per publish, inside the shard
+    checkout, so it must stay a rowid range scan: a ``projid`` index plus a
+    temp B-tree sort costs milliseconds per call on a large shard."""
+
+    def _plan(self, service, project: str) -> str:
+        with service.pool.checkout(project) as shard:
+            rows = shard.session.db.query(
+                "EXPLAIN QUERY PLAN " + _TAIL_ROWS_SQL, (shard.session.projid, 0, 500)
+            )
+        return "\n".join(str(row[-1]) for row in rows)
+
+    def _assert_rowid_range(self, plan: str) -> None:
+        assert "INTEGER PRIMARY KEY" in plan, plan
+        assert "TEMP B-TREE" not in plan, plan
+
+    def test_empty_shard_plans_a_rowid_range(self, service):
+        self._assert_rowid_range(self._plan(service, "alpha"))
+
+    def test_analyzed_shard_plans_a_rowid_range(self, client, service):
+        for name in ("loss", "acc", "lr", "grad_norm"):
+            response = client.post(
+                "/projects/alpha/logs",
+                json_body={
+                    "records": [{"name": name, "value": i, "ctx_id": i} for i in range(200)]
+                },
+            )
+            assert response.status == 202
+        _flush(service, "alpha")
+        with service.pool.checkout("alpha") as shard:
+            shard.session.db.execute("ANALYZE")
+        self._assert_rowid_range(self._plan(service, "alpha"))
 
 
 class TestEvictionAndBackpressure:

@@ -14,7 +14,11 @@ What CI runs (and any developer can run locally):
    read — routing must still resolve identically;
 4. check the aggregated ``GET /service/stats`` names every worker with
    its id, owned-shard count and a fresh heartbeat age;
-5. SIGTERM the supervisor and verify the drain hand-off exits 0.
+5. time 21 back-to-back keep-alive ``GET /healthz`` through the router,
+   and as many proxied project reads, and fail if either p50 reaches
+   20 ms (the Nagle/delayed-ACK stall of a socket without
+   ``TCP_NODELAY`` costs ~44 ms a request);
+6. SIGTERM the supervisor and verify the drain hand-off exits 0.
 
 Exits non-zero with a diagnostic on any failure.  Usage::
 
@@ -31,11 +35,12 @@ from urllib.parse import quote
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.testing import FleetProcess  # noqa: E402
+from repro.testing import FleetProcess, keepalive_p50_ms  # noqa: E402
 
 WORKERS = 2
 BATCH = 8
 RECOVERY_TIMEOUT = 60.0
+KEEPALIVE_P50_BOUND_MS = 20.0
 
 
 def _ingest(fleet: FleetProcess, project: str, tag: str) -> list[str]:
@@ -119,6 +124,16 @@ def main() -> int:
                     f"{ident['owned_shards']} shards, "
                     f"heartbeat {ident['heartbeat_age']:.2f}s ago"
                 )
+
+            for path in ("/healthz", f"/projects/{other_project}/stats"):
+                p50 = keepalive_p50_ms(fleet.base_url, path)
+                print(f"keep-alive GET {path}: p50 {p50:.2f} ms")
+                if p50 >= KEEPALIVE_P50_BOUND_MS:
+                    print(
+                        f"FAIL: keep-alive p50 {p50:.2f} ms >= {KEEPALIVE_P50_BOUND_MS} ms",
+                        file=sys.stderr,
+                    )
+                    return 1
 
             code = fleet.terminate()
             if code != 0:
